@@ -86,14 +86,6 @@ def _add_scenario_knobs(parser: argparse.ArgumentParser) -> None:
                         help="bins per spilled .npz shard (default 2048); "
                              "smaller shards lower the peak memory of "
                              "shard-at-a-time readers like `repro report`")
-    _add_backend_knob(parser)
-
-
-def _add_backend_knob(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--backend", default=None,
-                        help="registered compute backend to run the kernels on "
-                             "(see `repro list backends`; overrides "
-                             "REPRO_BACKEND, default numpy)")
 
 
 def _add_obs_knobs(parser: argparse.ArgumentParser, *, metrics_port: bool = False) -> None:
@@ -149,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override the number of time bins per week")
     _add_streaming_knobs(run)
     _add_obs_knobs(run)
-    _add_backend_knob(run)
     run.set_defaults(handler=_cmd_run)
 
     estimate = subparsers.add_parser(
@@ -364,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "for rescaled priors; on by default for serve — "
                             "use --no-fast-path for the oracle per-bin path)")
     _add_obs_knobs(serve, metrics_port=True)
-    _add_backend_knob(serve)
     serve.set_defaults(handler=_cmd_serve)
 
     report = subparsers.add_parser(
@@ -535,16 +525,11 @@ def _run_one(name: str, args: argparse.Namespace) -> str:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.backend import use_backend
-
     names = (
         list(EXPERIMENTS_REGISTRY.names()) if args.experiment == "all" else [args.experiment]
     )
-    # The experiment drivers pick the backend up ambiently (fit_stable_fp and
-    # TMEstimator resolve it), so one context covers every figure.
-    with use_backend(args.backend):
-        for name in names:
-            print(_run_one(name, args))
+    for name in names:
+        print(_run_one(name, args))
     return 0
 
 
@@ -567,7 +552,6 @@ def _scenario_from_args(args: argparse.Namespace, *, dataset: str, prior: str) -
         chunk_bins=args.chunk_bins,
         spill_dir=getattr(args, "spill_dir", None),
         spill_shard_bins=getattr(args, "spill_shard_bins", None),
-        backend=args.backend,
         fast_path=getattr(args, "fast_path", False),
     )
 
@@ -683,7 +667,6 @@ def _cmd_sweep_worker(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
 
-    from repro.backend import use_backend
     from repro.ingest import FileReplaySource, IngestService, SyntheticFlowSource
     from repro.registry import ESTIMATORS, TOPOLOGIES
 
@@ -723,9 +706,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         status_path = status_path or sink_dir / "status.json"
         checkpoint_path = checkpoint_path or sink_dir / "checkpoint.json"
 
-    estimator = ESTIMATORS.entry(args.estimator).obj(
-        backend=args.backend, fast_path=args.fast_path
-    )
+    estimator = ESTIMATORS.entry(args.estimator).obj(fast_path=args.fast_path)
     service = IngestService(
         source,
         topology,
@@ -752,8 +733,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         for sig in (signal.SIGTERM, signal.SIGINT)
     }
     try:
-        with use_backend(args.backend):
-            status = service.run()
+        status = service.run()
     finally:
         for sig, handler in previous.items():
             signal.signal(sig, handler)
@@ -864,11 +844,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
         print(f"{kind}:")
         for entry in registry.entries():
             description = f"  {entry.description}" if entry.description else ""
-            if kind == "backends":
-                from repro.backend import backend_available
-
-                state = "available" if backend_available(entry.name) else "not installed"
-                description = f"{description}  [{state}]"
             if kind == "datasets":
                 from repro.synthesis.datasets import streamable_dataset_names
 

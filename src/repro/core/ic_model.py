@@ -37,7 +37,6 @@ from repro._validation import (
     require_positive_int,
     require_probability,
 )
-from repro.backend import resolve_backend
 from repro.core.traffic_matrix import TrafficMatrixSeries
 from repro.errors import ShapeError, ValidationError
 from repro.registry import register_model
@@ -133,25 +132,13 @@ def _kernel_chunk(n: int) -> int:
     return max(1, _KERNEL_CHUNK_BYTES // max(n * n * 8, 1))
 
 
-def simplified_ic_series(
-    forward_fraction: float, activity_series, preference, *, backend=None
-) -> np.ndarray:
+def simplified_ic_series(forward_fraction: float, activity_series, preference) -> np.ndarray:
     """Vectorised simplified IC model over a ``(T, n)`` activity series.
 
     Returns a ``(T, n, n)`` array that is bit-identical to stacking
     :func:`simplified_ic_matrix` per bin; used by the stable-fP model and by
     the fitting code where speed matters.
-
-    ``backend`` selects the array namespace (:mod:`repro.backend`): a
-    non-NumPy backend accepts host arrays or that backend's device arrays
-    and returns a device array (transfer back with ``backend.to_numpy``).
-    The default (and explicit ``"numpy"``) runs the historical bit-identical
-    NumPy path below.
     """
-    if backend is not None:
-        be = resolve_backend(backend)
-        if not be.is_numpy:
-            return _simplified_ic_series_xp(be, forward_fraction, activity_series, preference)
     f = require_probability(forward_fraction, "forward_fraction")
     a = np.asarray(activity_series, dtype=float)
     if a.ndim == 1:
@@ -175,19 +162,14 @@ def simplified_ic_series(
     return out
 
 
-def general_ic_series(forward_fraction, activity_series, preference, *, backend=None) -> np.ndarray:
+def general_ic_series(forward_fraction, activity_series, preference) -> np.ndarray:
     """Vectorised general IC model (Eq. 1) over a ``(T, n)`` activity series.
 
     Batched equivalent of stacking :func:`general_ic_matrix` per bin: the
     ``(n, n)`` forward-fraction matrix and the ``(n,)`` preference vector are
     fixed while activity varies with time.  Returns a ``(T, n, n)`` array
-    that is bit-identical to the per-bin loop.  ``backend`` selects the
-    array namespace as in :func:`simplified_ic_series`.
+    that is bit-identical to the per-bin loop.
     """
-    if backend is not None:
-        be = resolve_backend(backend)
-        if not be.is_numpy:
-            return _general_ic_series_xp(be, forward_fraction, activity_series, preference)
     f = as_square_matrix(forward_fraction, "forward_fraction")
     if np.any(f < 0.0) or np.any(f > 1.0):
         raise ValidationError("forward_fraction entries must lie in [0, 1]")
@@ -208,22 +190,15 @@ def general_ic_series(forward_fraction, activity_series, preference, *, backend=
     return out
 
 
-def time_varying_ic_series(
-    forward_series, activity_series, preference_series, *, backend=None
-) -> np.ndarray:
+def time_varying_ic_series(forward_series, activity_series, preference_series) -> np.ndarray:
     """Vectorised simplified IC model with per-bin ``f(t)``/``A(t)``/``P(t)``.
 
     Batched equivalent of stacking ``simplified_ic_matrix(f[t], a[t], p[t])``
     per bin (Eqs. 3-4): the preference of each bin is normalised to sum to
     one independently.  ``forward_series`` may be a scalar (stable-f, Eq. 4)
     or a length-``T`` array (time-varying, Eq. 3).  Returns a ``(T, n, n)``
-    array that is bit-identical to the per-bin loop.  ``backend`` selects
-    the array namespace as in :func:`simplified_ic_series`.
+    array that is bit-identical to the per-bin loop.
     """
-    if backend is not None:
-        be = resolve_backend(backend)
-        if not be.is_numpy:
-            return _time_varying_ic_series_xp(be, forward_series, activity_series, preference_series)
     a = _as_series_2d(activity_series, "activity_series")
     p = _as_series_2d(preference_series, "preference_series", length=a.shape[1])
     if a.shape[0] != p.shape[0]:
@@ -259,108 +234,6 @@ def time_varying_ic_series(
         base *= 1.0 - f_block                      # (1-f(t)) * (A_i P_j)
         block += base.transpose(0, 2, 1)           # + (1-f(t)) * (P_i A_j)
     return out
-
-
-# ---------------------------------------------------------------------------
-# namespace-generic kernels (repro.backend)
-# ---------------------------------------------------------------------------
-#
-# One implementation per series kernel, written against the array-API
-# standard plus the Backend shims, so the same code runs on
-# array-api-strict, torch and cupy.  Host inputs are validated with the
-# usual NumPy checks and shipped once; device inputs pass straight through
-# (the caller already owns the transfer).  Outputs stay on the device.
-
-def _is_host_value(values) -> bool:
-    """Whether ``values`` lives on the host (numpy / python containers)."""
-    return isinstance(values, (np.ndarray, list, tuple)) or np.isscalar(values)
-
-
-def _ship_series_2d(be, values, name: str, *, length: int | None = None):
-    if _is_host_value(values):
-        return be.asarray(_as_series_2d(values, name, length=length))
-    return be.asarray(values)
-
-
-def _ship_vector(be, values, name: str, *, length: int | None = None):
-    if _is_host_value(values):
-        return be.asarray(
-            require_nonnegative(as_1d_array(values, name, length=length), name)
-        )
-    return be.asarray(values)
-
-
-def _normalize_xp(be, preference, name: str):
-    """Normalise a device preference vector, rejecting a non-positive sum."""
-    xp = be.xp
-    total = xp.sum(preference)
-    if not be.scalar(total) > 0.0:
-        raise ValidationError(f"{name} must have a positive sum to be normalised")
-    return preference / total
-
-
-def _simplified_ic_series_xp(be, forward_fraction, activity_series, preference):
-    f = require_probability(float(forward_fraction), "forward_fraction")
-    a = _ship_series_2d(be, activity_series, "activity_series")
-    p = _ship_vector(be, preference, "preference", length=int(a.shape[1]))
-    p = _normalize_xp(be, p, "preference")
-    base = be.einsum("ti,j->tij", a, p)
-    return f * base + (1.0 - f) * be.matrix_transpose(base)
-
-
-def _general_ic_series_xp(be, forward_fraction, activity_series, preference):
-    if _is_host_value(forward_fraction):
-        f_host = as_square_matrix(forward_fraction, "forward_fraction")
-        if np.any(f_host < 0.0) or np.any(f_host > 1.0):
-            raise ValidationError("forward_fraction entries must lie in [0, 1]")
-        f = be.asarray(f_host)
-    else:
-        f = be.asarray(forward_fraction)
-    n = int(f.shape[0])
-    a = _ship_series_2d(be, activity_series, "activity_series", length=n)
-    p = _ship_vector(be, preference, "preference", length=n)
-    p = _normalize_xp(be, p, "preference")
-    base = be.einsum("ti,j->tij", a, p)
-    reverse_fraction = 1.0 - be.matrix_transpose(f)
-    return f * base + reverse_fraction * be.matrix_transpose(base)
-
-
-def _time_varying_ic_series_xp(be, forward_series, activity_series, preference_series):
-    xp = be.xp
-    a = _ship_series_2d(be, activity_series, "activity_series")
-    p = _ship_series_2d(be, preference_series, "preference_series", length=int(a.shape[1]))
-    if a.shape[0] != p.shape[0]:
-        raise ShapeError(
-            f"activity and preference series must match, got {tuple(a.shape)} vs {tuple(p.shape)}"
-        )
-    t = int(a.shape[0])
-    if _is_host_value(forward_series):
-        f_host = np.asarray(forward_series, dtype=float)
-        if f_host.ndim == 0:
-            f_host = np.full(t, require_probability(float(f_host), "forward_fraction"))
-        elif f_host.ndim == 1:
-            if f_host.shape[0] != t:
-                raise ShapeError(f"forward_series must have length T={t}, got {f_host.shape[0]}")
-            if not np.all(np.isfinite(f_host)) or np.any(f_host < 0.0) or np.any(f_host > 1.0):
-                raise ValidationError("forward_series entries must lie in [0, 1]")
-        else:
-            raise ShapeError(f"forward_series must be a scalar or (T,) array, got {f_host.shape}")
-        f = be.asarray(f_host)
-    else:
-        f = be.asarray(forward_series)
-        if len(f.shape) == 0:
-            f = be.asarray(np.full(t, require_probability(be.scalar(f), "forward_fraction")))
-        elif len(f.shape) != 1 or int(f.shape[0]) != t:
-            raise ShapeError(f"forward_series must be a scalar or (T,) array, got {tuple(f.shape)}")
-    totals = xp.sum(p, axis=1)
-    if be.scalar(xp.min(totals)) <= 0.0:
-        raise ValidationError(
-            "preference_series must have a positive sum in every bin to be normalised"
-        )
-    p = p / totals[:, None]
-    base = be.einsum("ti,tj->tij", a, p)
-    f_block = f[:, None, None]
-    return f_block * base + (1.0 - f_block) * be.matrix_transpose(base)
 
 
 # ---------------------------------------------------------------------------

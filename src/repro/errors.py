@@ -39,13 +39,5 @@ class TopologyError(ReproError, ValueError):
     """Raised for malformed topologies or routing requests."""
 
 
-class BackendError(ReproError, RuntimeError):
-    """Raised for compute-backend problems (bad namespace, failed transfer)."""
-
-
-class BackendUnavailableError(BackendError):
-    """Raised when a registered backend's array library is not installed."""
-
-
 class TraceError(ReproError, ValueError):
     """Raised for malformed packet/flow traces or matching failures."""

@@ -36,8 +36,7 @@ beyond documented tolerances:
   (diagonal pre-scaling preserves the seed's cross-ratios) but drops the
   iteration count when consecutive bins are similar.
 
-Both caches are NumPy-only (the backend kernels have their own batched
-paths) and are owned by :class:`~repro.estimation.pipeline.TMEstimator`
+Both caches are owned by :class:`~repro.estimation.pipeline.TMEstimator`
 behind its ``fast_path=`` / ``warm_start=`` knobs.
 """
 

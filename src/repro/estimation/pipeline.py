@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend import resolve_backend
 from repro.core.metrics import percent_improvement, rel_l2_temporal_error
 from repro.core.traffic_matrix import TrafficMatrixSeries
 from repro.errors import ValidationError
@@ -100,16 +99,7 @@ class TMEstimator:
         (the default) chooses automatically: sparse for tomogravity on
         networks of :data:`SPARSE_SYSTEM_MIN_NODES` or more PoPs, dense
         otherwise (the historical, bit-stable path for the paper-scale
-        topologies).  The entropy method always densifies, and so does any
-        non-NumPy backend (``scipy.sparse`` operators are host-only).
-    backend:
-        Compute backend for the refinement and IPF stages
-        (:mod:`repro.backend`): a name, a ``Backend`` instance, or ``None``
-        to follow the ambient selection (``use_backend`` context /
-        ``REPRO_BACKEND`` environment variable, default ``numpy``).  On a
-        non-NumPy backend the observation system is shipped to the device
-        once per run, priors once per run (or once per chunk when
-        streaming), and only the final estimates return to the host.
+        topologies).  The entropy method always densifies.
     fast_path:
         Enable the incremental fast path (:mod:`repro.estimation.fastpath`):
         the tomogravity correction operator is cached per (operator, prior
@@ -118,8 +108,8 @@ class TMEstimator:
         cached base, and recomputed exactly otherwise; the IPF stage gains
         the matching equal/scaled solve memo.  Off by default so batch
         reproduction (fig11–13) stays byte-identical to the historical
-        path.  NumPy dense systems only — sparse tomogravity and non-NumPy
-        backends silently keep the existing kernels.
+        path.  Dense systems only — sparse tomogravity silently keeps the
+        existing kernel.
     warm_start:
         Seed each bin's iterative solve (IPF scale state, entropy L-BFGS-B
         start) from the previous bin's solution.  ``None`` (default)
@@ -135,7 +125,6 @@ class TMEstimator:
         use_marginals_in_refinement: bool = True,
         ipf_iterations: int = 50,
         use_sparse_system: bool | None = None,
-        backend=None,
         fast_path: bool = False,
         warm_start: bool | None = None,
     ):
@@ -145,7 +134,6 @@ class TMEstimator:
         self._augment = bool(use_marginals_in_refinement)
         self._ipf_iterations = int(ipf_iterations)
         self._use_sparse = use_sparse_system
-        self._backend = backend
         self._fast_path = bool(fast_path)
         self._warm_start = self._fast_path if warm_start is None else bool(warm_start)
         self._factor_cache = FactorizationCache() if self._fast_path else None
@@ -211,7 +199,7 @@ class TMEstimator:
         as_sparse: bool,
         prior_version,
     ) -> np.ndarray:
-        """One chunk of bins through the cached fast path (NumPy only).
+        """One chunk of bins through the cached fast path.
 
         Matches the slow path bit-for-bit for equal-weight and recomputed
         bins, and to ≤1e-10 for scaled-tier and warm-started bins.
@@ -248,23 +236,17 @@ class TMEstimator:
         self._publish_fast_metrics()
         return estimates
 
-    def _resolve_backend(self):
-        """The backend this run executes on (explicit, else ambient)."""
-        return resolve_backend(self._backend)
-
-    def _resolve_sparse(self, system: LinkLoadSystem, backend=None) -> bool:
+    def _resolve_sparse(self, system: LinkLoadSystem) -> bool:
         """Whether this run uses the sparse stacked operator."""
         if self._method != "tomogravity":
-            return False
-        if backend is not None and not backend.is_numpy:
             return False
         if self._use_sparse is None:
             return system.n_nodes >= SPARSE_SYSTEM_MIN_NODES
         return bool(self._use_sparse)
 
-    def _observation_system(self, system: LinkLoadSystem, backend=None):
+    def _observation_system(self, system: LinkLoadSystem):
         """The ``(B, Z)`` pair the refinement step solves against."""
-        as_sparse = self._resolve_sparse(system, backend)
+        as_sparse = self._resolve_sparse(system)
         if self._augment:
             return system.augmented_system(as_sparse=as_sparse)
         matrix = system.routing.sparse if as_sparse else system.routing.matrix
@@ -298,42 +280,30 @@ class TMEstimator:
                 f"prior has {prior.n_nodes} nodes but the routing matrix has {system.n_nodes}"
             )
         n = system.n_nodes
-        backend = self._resolve_backend()
-        matrix, observations = self._observation_system(system, backend)
+        matrix, observations = self._observation_system(system)
 
         prior_vectors = prior.to_vectors()
-        if backend.is_numpy:
-            if self._fast_path:
-                estimates = self._fast_block(
-                    prior_vectors,
-                    matrix,
-                    observations,
-                    system.ingress,
-                    system.egress,
-                    n,
-                    as_sparse=self._resolve_sparse(system, backend),
-                    prior_version=0,
-                )
-            else:
-                if self._method == "tomogravity":
-                    refined = tomogravity_estimate(prior_vectors, matrix, observations)
-                else:
-                    refined = entropy_estimate(prior_vectors, matrix, observations)
-                estimates = iterative_proportional_fitting_series(
-                    refined.reshape(system.n_timesteps, n, n),
-                    system.ingress,
-                    system.egress,
-                    max_iterations=self._ipf_iterations,
-                )
-        else:
-            estimates = self._estimate_on_device(
-                backend,
+        if self._fast_path:
+            estimates = self._fast_block(
                 prior_vectors,
-                backend.asarray(matrix),
-                backend.asarray(observations),
+                matrix,
+                observations,
                 system.ingress,
                 system.egress,
                 n,
+                as_sparse=self._resolve_sparse(system),
+                prior_version=0,
+            )
+        else:
+            if self._method == "tomogravity":
+                refined = tomogravity_estimate(prior_vectors, matrix, observations)
+            else:
+                refined = entropy_estimate(prior_vectors, matrix, observations)
+            estimates = iterative_proportional_fitting_series(
+                refined.reshape(system.n_timesteps, n, n),
+                system.ingress,
+                system.egress,
+                max_iterations=self._ipf_iterations,
             )
         estimate_series = TrafficMatrixSeries(
             estimates, prior.nodes, bin_seconds=prior.bin_seconds
@@ -345,33 +315,6 @@ class TMEstimator:
         return EstimationResult(
             estimate=estimate_series, prior=prior, errors=errors, prior_errors=prior_errors
         )
-
-    def _estimate_on_device(
-        self, backend, prior_vectors, device_matrix, device_observations, ingress, egress, n
-    ) -> np.ndarray:
-        """Refinement + IPF for one block of bins on a non-NumPy backend.
-
-        The prior block and marginals are shipped to the device once, every
-        stage runs there through the namespace-generic kernels, and only the
-        final ``(T, n, n)`` estimates come back to the host.
-        """
-        priors = backend.asarray(prior_vectors)
-        if self._method == "tomogravity":
-            refined = tomogravity_estimate(
-                priors, device_matrix, device_observations, backend=backend
-            )
-        else:
-            refined = entropy_estimate(
-                priors, device_matrix, device_observations, backend=backend
-            )
-        estimates = iterative_proportional_fitting_series(
-            backend.xp.reshape(refined, (int(priors.shape[0]), n, n)),
-            backend.asarray(ingress),
-            backend.asarray(egress),
-            max_iterations=self._ipf_iterations,
-            backend=backend,
-        )
-        return backend.to_numpy(estimates)
 
     def estimate_stream(
         self,
@@ -429,11 +372,7 @@ class TMEstimator:
             )
         n = system.n_nodes
         t = system.n_timesteps
-        backend = self._resolve_backend()
-        matrix, observations = self._observation_system(system, backend)
-        if not backend.is_numpy:
-            # Ship the (fixed) observation operator once; chunks follow below.
-            device_matrix = backend.asarray(matrix)
+        matrix, observations = self._observation_system(system)
 
         streams = [prior_stream]
         if ground_truth_stream is not None:
@@ -449,17 +388,7 @@ class TMEstimator:
             with tracer.span("estimate_chunk", t0=t0, bins=int(prior_block.shape[0])):
                 stop = t0 + prior_block.shape[0]
                 prior_vectors = prior_block.reshape(prior_block.shape[0], n * n)
-                if not backend.is_numpy:
-                    estimates = self._estimate_on_device(
-                        backend,
-                        prior_vectors,
-                        device_matrix,
-                        backend.asarray(observations[t0:stop]),
-                        system.ingress[t0:stop],
-                        system.egress[t0:stop],
-                        n,
-                    )
-                elif self._fast_path:
+                if self._fast_path:
                     estimates = self._fast_block(
                         prior_vectors,
                         matrix,
@@ -467,7 +396,7 @@ class TMEstimator:
                         system.ingress[t0:stop],
                         system.egress[t0:stop],
                         n,
-                        as_sparse=self._resolve_sparse(system, backend),
+                        as_sparse=self._resolve_sparse(system),
                         prior_version=prior_version,
                     )
                 else:

@@ -27,8 +27,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from repro.backend import resolve_backend
-from repro.errors import EstimationError, ShapeError, ValidationError
+from repro.errors import EstimationError, ShapeError
 
 __all__ = ["tomogravity_estimate"]
 
@@ -41,7 +40,6 @@ def tomogravity_estimate(
     observations: np.ndarray,
     *,
     weight_floor: float | None = None,
-    backend=None,
 ) -> np.ndarray:
     """Refine ``prior`` toward the observations ``observation_matrix @ x = observations``.
 
@@ -62,31 +60,12 @@ def tomogravity_estimate(
     weight_floor:
         Minimum weight given to any OD pair; defaults to a small fraction of
         the mean prior so zero-prior flows can still receive corrections.
-    backend:
-        Array namespace for the refinement (:mod:`repro.backend`).  A
-        non-NumPy backend runs the dense stacked gram/pinv algebra on that
-        backend's device — inputs may be host arrays or device arrays, the
-        result is a device array — and rejects ``scipy.sparse`` operators
-        (densify first, or stay on the NumPy backend).  The default (and
-        explicit ``"numpy"``) is the historical bit-identical path.
 
     Returns
     -------
     numpy.ndarray
-        The refined, non-negative OD-flow vector(s), same shape as ``prior``
-        (a backend device array when a non-NumPy backend is selected).
+        The refined, non-negative OD-flow vector(s), same shape as ``prior``.
     """
-    if backend is not None:
-        be = resolve_backend(backend)
-        if not be.is_numpy:
-            if sparse.issparse(observation_matrix):
-                raise ValidationError(
-                    f"backend {be.name!r} cannot consume scipy.sparse observation "
-                    "matrices; pass the dense matrix or use the numpy backend"
-                )
-            return _tomogravity_estimate_xp(
-                be, prior, observation_matrix, observations, weight_floor
-            )
     prior = np.asarray(prior, dtype=float)
     observations = np.asarray(observations, dtype=float)
     is_sparse = sparse.issparse(observation_matrix)
@@ -151,64 +130,6 @@ def _refine_chunk(
         correction = weighted[t].T @ gram_pinv[t] @ residual
         estimates[t] = np.clip(priors[t] + correction, 0.0, None)
     return estimates
-
-
-# ---------------------------------------------------------------------------
-# namespace-generic refinement (repro.backend)
-# ---------------------------------------------------------------------------
-
-def _tomogravity_estimate_xp(be, prior, matrix, observations, weight_floor):
-    """Dense tomogravity refinement on a non-NumPy backend.
-
-    Same stacked algebra as :func:`_refine_chunk`, expressed through the
-    array-API standard plus Backend shims; the per-bin correction loop is
-    replaced by one batched ``matmul`` chain.  Chunking keeps the
-    ``(T_chunk, n_obs, n_od)`` weighted stack inside the memory budget.
-    """
-    xp = be.xp
-    prior = be.asarray(prior)
-    matrix = be.asarray(matrix)
-    observations = be.asarray(observations)
-    single = len(prior.shape) == 1
-    prior_batch = prior[None, :] if single else prior
-    obs_batch = observations[None, :] if len(observations.shape) == 1 else observations
-    if len(matrix.shape) != 2:
-        raise ShapeError("observation_matrix must be two-dimensional")
-    if int(prior_batch.shape[1]) != int(matrix.shape[1]):
-        raise ShapeError(
-            f"prior length {int(prior_batch.shape[1])} does not match observation "
-            f"matrix columns {int(matrix.shape[1])}"
-        )
-    if tuple(obs_batch.shape) != (int(prior_batch.shape[0]), int(matrix.shape[0])):
-        raise ShapeError(
-            "observations must have shape (T, n_obs) matching the prior batch and matrix rows"
-        )
-    matrix_t = be.matrix_transpose(matrix)
-    chunks = [
-        _refine_chunk_xp(
-            be, prior_batch[start:stop], matrix, matrix_t, obs_batch[start:stop], weight_floor
-        )
-        for start, stop in _chunks(int(prior_batch.shape[0]), (int(matrix.shape[0]), int(matrix.shape[1])))
-    ]
-    estimates = chunks[0] if len(chunks) == 1 else xp.concat(chunks, axis=0)
-    return estimates[0, :] if single else estimates
-
-
-def _refine_chunk_xp(be, priors, matrix, matrix_t, observed, weight_floor):
-    xp = be.xp
-    if weight_floor is not None:
-        floors = xp.full((int(priors.shape[0]),), float(weight_floor), dtype=priors.dtype)
-    else:
-        floors = xp.clip(xp.mean(priors, axis=1) * 1e-3, _EPS, None)
-    weights = xp.maximum(priors, floors[:, None])
-    weighted = matrix[None, :, :] * weights[:, None, :]  # B W per bin
-    gram = xp.matmul(weighted, matrix_t)  # B W B^T, stacked
-    gram_pinv = be.pinv(gram, rtol=1e-10)
-    residual = observed - xp.matmul(priors, matrix_t)
-    correction = xp.matmul(
-        be.matrix_transpose(weighted), xp.matmul(gram_pinv, residual[:, :, None])
-    )[:, :, 0]
-    return xp.clip(priors + correction, 0.0, None)
 
 
 def _weight_floors(priors: np.ndarray, weight_floor: float | None) -> np.ndarray:

@@ -142,10 +142,11 @@ class FlowBinner:
 
         Closed bins come back in index order and include zero matrices for
         empty bins, so concatenating the results of successive pushes yields
-        a gapless series starting at ``start_bin``.
+        a gapless series starting at ``start_bin``.  A batch is validated
+        before any counter moves, so a rejected batch leaves
+        :meth:`counters` unchanged.
         """
         k = len(batch)
-        self.records_seen += k
         if k == 0:
             return []
         bins = self._bin_of(batch.timestamps)
@@ -154,6 +155,9 @@ class FlowBinner:
                 "record timestamps precede the stream origin; "
                 f"origin={self._origin}, earliest record bin={int(bins.min())}"
             )
+        if int(batch.src.max()) >= self._n or int(batch.dst.max()) >= self._n:
+            raise ValidationError(f"record node index out of range for {self._n} nodes")
+        self.records_seen += k
         skipped = bins < self._start_bin
         late = (bins < self._frontier) & ~skipped
         self.records_skipped += int(skipped.sum())
@@ -164,10 +168,6 @@ class FlowBinner:
             src = batch.src[keep]
             dst = batch.dst[keep]
             vols = batch.volumes[keep]
-            if int(src.max()) >= self._n or int(dst.max()) >= self._n:
-                raise ValidationError(
-                    f"record node index out of range for {self._n} nodes"
-                )
             flat = src * self._n + dst
             for bin_index in np.unique(kept_bins):
                 mask = kept_bins == bin_index

@@ -42,14 +42,18 @@ class RecordBatch:
     Attributes
     ----------
     timestamps:
-        Record times in seconds from the stream origin, shape ``(k,)``.
-        Batches need not be sorted — the binner's watermark handles
+        Record times in seconds from the stream origin, shape ``(k,)``,
+        finite.  Batches need not be sorted — the binner's watermark handles
         out-of-order arrival.
     src, dst:
         Source/destination node indices into the topology's node ordering,
-        shape ``(k,)``.
+        shape ``(k,)``, non-negative.
     volumes:
-        Byte volumes, shape ``(k,)``, non-negative.
+        Byte volumes, shape ``(k,)``, finite and non-negative.
+
+    A batch violating any of these is rejected whole with
+    :class:`ValidationError`: one NaN volume would otherwise poison its
+    bin's estimate and every rolling fit whose window holds that bin.
     """
 
     timestamps: np.ndarray
@@ -71,8 +75,16 @@ class RecordBatch:
                 )
         if self.timestamps.ndim != 1:
             raise ValidationError("record batch columns must be one-dimensional")
-        if self.volumes.size and float(self.volumes.min()) < 0:
+        if not self.timestamps.size:
+            return
+        if not np.all(np.isfinite(self.timestamps)):
+            raise ValidationError("record timestamps must be finite")
+        if not np.all(np.isfinite(self.volumes)):
+            raise ValidationError("record volumes must be finite")
+        if float(self.volumes.min()) < 0:
             raise ValidationError("record volumes must be non-negative")
+        if int(self.src.min()) < 0 or int(self.dst.min()) < 0:
+            raise ValidationError("record node indices must be non-negative")
 
     def __len__(self) -> int:
         return int(self.timestamps.shape[0])

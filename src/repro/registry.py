@@ -44,7 +44,6 @@ __all__ = [
     "DATASETS",
     "TOPOLOGIES",
     "EXPERIMENTS_REGISTRY",
-    "BACKENDS",
     "REGISTRIES",
     "register_model",
     "register_prior",
@@ -183,7 +182,6 @@ ESTIMATORS = Registry("estimator")
 DATASETS = Registry("dataset")
 TOPOLOGIES = Registry("topology", "topologies")
 EXPERIMENTS_REGISTRY = Registry("experiment")
-BACKENDS = Registry("backend")
 
 #: Registries by their plural name, as surfaced by ``repro list <kind>``.
 REGISTRIES: dict[str, Registry] = {
@@ -193,7 +191,6 @@ REGISTRIES: dict[str, Registry] = {
     "datasets": DATASETS,
     "topologies": TOPOLOGIES,
     "experiments": EXPERIMENTS_REGISTRY,
-    "backends": BACKENDS,
 }
 
 register_model = MODELS.register
@@ -206,7 +203,6 @@ register_experiment = EXPERIMENTS_REGISTRY.register
 # Modules whose import populates the registries.  Kept here (rather than in
 # each registry) so a lookup against any registry pulls in the whole set.
 _COMPONENT_MODULES: tuple[str, ...] = (
-    "repro.backend.builtins",
     "repro.core.gravity",
     "repro.core.ic_model",
     "repro.core.priors",

@@ -42,7 +42,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro._tables import format_rows
-from repro.backend import use_backend
 from repro.core.metrics import percent_improvement, summarize_improvement
 from repro.core.priors import (
     STREAMING_PRIOR_BUILDERS,
@@ -240,8 +239,6 @@ class ScenarioResult:
                 ["25th-75th percentile improvement %",
                  f"{summary['p25']:.3g} .. {summary['p75']:.3g}"],
             ]
-        if self.scenario.backend is not None:
-            rows.append(["backend", self.scenario.backend])
         rows.append(["runtime (s)", self.timing.get("total", float("nan"))])
         if self.scenario.stream:
             rows.append(["streamed chunk bins", self.timing.get("chunk_bins", "auto")])
@@ -359,30 +356,23 @@ class ScenarioRunner:
         ``shared`` supplies the per-process :class:`SweepSharedState` the
         sweep scheduler uses to reuse measurement systems and baseline
         estimates across cells; single runs normally leave it ``None``.
-
-        ``scenario.backend`` selects the compute backend for the run: the
-        whole execution happens inside a :func:`repro.backend.use_backend`
-        context, so prior fitting (``fit_stable_fp``) and the estimator's
-        refinement/IPF stages run on that backend while synthesis stays on
-        the host.
         """
         scenario.validate()
         started = time.perf_counter()
-        with use_backend(scenario.backend):
-            if scenario.stream:
-                if dataset is not None and not hasattr(dataset, "week_stream"):
-                    raise ValidationError(
-                        "streaming scenarios regenerate chunks; pass dataset=None "
-                        "or a pre-opened StreamingDataset"
-                    )
-                result = self._run_streaming(scenario, data=dataset, shared=shared)
-            else:
-                if dataset is not None and not hasattr(dataset, "weeks"):
-                    raise ValidationError(
-                        "in-memory scenarios need a materialised SyntheticDataset; "
-                        "got a streaming dataset (set stream=True to use it)"
-                    )
-                result = self._run_in_memory(scenario, dataset=dataset, shared=shared)
+        if scenario.stream:
+            if dataset is not None and not hasattr(dataset, "week_stream"):
+                raise ValidationError(
+                    "streaming scenarios regenerate chunks; pass dataset=None "
+                    "or a pre-opened StreamingDataset"
+                )
+            result = self._run_streaming(scenario, data=dataset, shared=shared)
+        else:
+            if dataset is not None and not hasattr(dataset, "weeks"):
+                raise ValidationError(
+                    "in-memory scenarios need a materialised SyntheticDataset; "
+                    "got a streaming dataset (set stream=True to use it)"
+                )
+            result = self._run_in_memory(scenario, dataset=dataset, shared=shared)
         metrics = get_metrics()
         if metrics.enabled:
             mode = "stream" if scenario.stream else "memory"
@@ -429,7 +419,6 @@ class ScenarioRunner:
             system_key,
             canonical_name(self._baseline),
             scenario.estimator,
-            scenario.backend,
             calibration_week,
             scenario.measured_forward_fraction,
         )
@@ -656,7 +645,7 @@ class ScenarioRunner:
             # Everything that determines a streamed stable-fP fit beyond the
             # (week, bin-count, cache-budget) suffix the context appends:
             # the pinned plan identity — i.e. the exact traffic — plus the
-            # scale knobs and the backend the reductions run on.
+            # scale knobs.
             fit_key_base = (
                 "fit",
                 scenario.dataset,
@@ -665,7 +654,6 @@ class ScenarioRunner:
                 scenario.full_scale,
                 scenario.dataset_seed,
                 scenario.chunk_bins,
-                scenario.backend,
             )
 
             def fit_memo(suffix, build, _base=fit_key_base):

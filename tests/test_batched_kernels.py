@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -162,6 +162,12 @@ def test_kernel_chunking_boundary_is_seamless():
         lambda n: st.tuples(nonneg_array((5, n)), nonneg_array((5, n)))
     )
 )
+@example(  # a zero-traffic bin between two loaded ones
+    (
+        np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [4.0, 0.0, 5.0]] + [[1.0, 1.0, 1.0]] * 2),
+        np.array([[3.0, 2.0, 1.0], [7.0, 0.0, 1.0], [0.0, 9.0, 0.0]] + [[1.0, 1.0, 1.0]] * 2),
+    )
+)
 @settings(max_examples=60, deadline=None)
 def test_gravity_series_values_matches_per_bin_loop_bitwise(marginals):
     ingress, egress = marginals
@@ -226,6 +232,23 @@ def test_tomogravity_batch_matches_per_bin_loop_bitwise(measurement_setup):
     assert np.array_equal(tomogravity_estimate(priors, matrix, observations), reference)
 
 
+def _ipf_edge_case(case: str):
+    """Seed/target stacks exercising IPF's zero-bin and empty-row branches."""
+    seeds = np.ones((3, 4, 4))
+    rows = np.full((3, 4), 5.0)
+    cols = np.full((3, 4), 5.0)
+    if case == "zero_seed_bin":
+        seeds[1] = 0.0  # every seed row and column is empty, targets positive
+    elif case == "zero_target_bin":
+        rows[1] = 0.0
+        cols[1] = 0.0
+    elif case == "empty_seed_row":
+        seeds[2, 0, :] = 0.0
+    elif case == "empty_seed_column":
+        seeds[0, :, 3] = 0.0
+    return seeds, rows, cols
+
+
 @given(
     node_counts.flatmap(
         lambda n: st.tuples(
@@ -236,6 +259,10 @@ def test_tomogravity_batch_matches_per_bin_loop_bitwise(measurement_setup):
     ),
     st.integers(min_value=0, max_value=30),
 )
+@example(_ipf_edge_case("zero_seed_bin"), 30)
+@example(_ipf_edge_case("zero_target_bin"), 30)
+@example(_ipf_edge_case("empty_seed_row"), 30)
+@example(_ipf_edge_case("empty_seed_column"), 30)
 @settings(max_examples=60, deadline=None)
 def test_ipf_series_matches_per_bin_loop_bitwise(inputs, iterations):
     seeds, rows, cols = inputs
