@@ -1,6 +1,6 @@
 """Incremental fast path for per-bin estimation linear algebra.
 
-The batch pipeline re-runs the full tomogravity gram/``pinv`` chain and a
+The batch pipeline re-runs the full tomogravity gram/Cholesky chain and a
 cold IPF solve for every bin, even though a live feed's bins are strongly
 related in time: between :class:`~repro.ingest.rolling.ActivePrior` swaps
 the prior *model* is fixed, and for the gravity family the prior's spatial
@@ -8,19 +8,21 @@ shape is fixed too — only its scale follows the total traffic.  This module
 exploits that temporal structure without changing any published number
 beyond documented tolerances:
 
-* :class:`FactorizationCache` caches the tomogravity correction operator
-  ``M = (B W)ᵀ (B W Bᵀ)⁺`` keyed by (operator identity, prior version).
-  Per bin it classifies the weight vector against the cached base:
+* :class:`FactorizationCache` caches the Cholesky factor ``L₀`` of the
+  reduced weighted gram ``B_r W₀ B_rᵀ`` (``B_r = Q B``, the operator in its
+  row basis; see :mod:`repro.estimation.tomogravity`) keyed by (operator
+  identity, prior version).  Per bin it classifies the weight vector
+  against the cached base:
 
-  - **equal** (bitwise): the cached ``M`` reproduces the per-bin oracle
+  - **equal** (bitwise): the cached factor reproduces the per-bin oracle
     *bit for bit* (same operands, same operation order), so per-bin
-    tomogravity becomes one cached mat-vec instead of an O(L³)
-    re-factorisation;
+    tomogravity becomes two triangular solves and two mat-vecs instead of
+    forming and factorising an O(n_od r²) gram;
   - **scaled** (``w_t = s_t · w₀`` within ``rtol``): the weighted gram is
-    ``G_t = s_t · G₀``, its relative-``rcond`` pseudo-inverse rescales by
-    ``1/s_t``, and the scalars cancel inside ``M`` — one factorisation
-    serves every bin of the rescaled family, bit-close (≲1e-12 relative,
-    asserted ≤1e-10 in the tests/bench) to the per-bin oracle;
+    ``G_t = s_t · G₀``, its inverse rescales by ``1/s_t``, and the scalars
+    cancel in ``W_t B_rᵀ G_t⁻¹ = W₀ B_rᵀ G₀⁻¹`` — one factorisation serves
+    every bin of the rescaled family, bit-close (≲1e-12 relative, asserted
+    ≤1e-10 in the tests/bench) to the per-bin oracle;
   - **miss**: the bin runs the exact stacked path
     (:func:`~repro.estimation.tomogravity._refine_chunk` on the miss
     subset — bit-identical to the slow path) and the base is re-anchored
@@ -45,7 +47,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.estimation.ipf import iterative_proportional_fitting_series
-from repro.estimation.tomogravity import _refine_chunk, _weight_floors
+from repro.estimation.tomogravity import (
+    _cho_solve,
+    _cholesky,
+    _project,
+    _refine_chunk,
+    _check_inputs,
+    _row_basis,
+    _weighted_grams,
+    _weights,
+)
 
 __all__ = ["FactorizationCache", "IPFSolveCache", "classify_scaled_family"]
 
@@ -87,12 +98,16 @@ class FactorizationCache:
     """Cached tomogravity factorisation keyed by (operator, prior version).
 
     The cache holds one *base*: the weight vector of the most recent
-    structure miss plus the correction operator ``M = (B W₀)ᵀ (B W₀ Bᵀ)⁺``
-    built from it.  :meth:`refine` classifies every bin of a chunk against
-    the base (see module docstring) and dispatches each tier accordingly.
+    structure miss plus the operator's row basis and the Cholesky factor
+    of ``B_r W₀ B_rᵀ`` built from it (and, once the scaled tier is first
+    hit, the explicit operator ``G₀⁻¹ B_r W₀``).  :meth:`refine` classifies
+    every bin of a chunk against the base (see module docstring) and
+    dispatches each tier accordingly.
     A different operator object or a different ``key`` (the prior version)
     invalidates the whole entry — the atomic-invalidation contract the
-    ingest service's prior swaps rely on.
+    ingest service's prior swaps rely on.  The operator is recognised by
+    identity only, so it must not be edited in place between calls; the
+    pipeline passes the frozen ``RoutingMatrix.augmented_operator()``.
     """
 
     def __init__(self, *, rtol: float = STRUCTURE_RTOL):
@@ -100,7 +115,9 @@ class FactorizationCache:
         self._matrix: np.ndarray | None = None
         self._key = None
         self._weights0: np.ndarray | None = None
-        self._correction0: np.ndarray | None = None
+        self._basis0 = None
+        self._factor0: np.ndarray | None = None
+        self._scaled0: np.ndarray | None = None
         self.hits_equal = 0
         self.hits_scaled = 0
         self.misses = 0
@@ -113,7 +130,9 @@ class FactorizationCache:
         self._matrix = None
         self._key = None
         self._weights0 = None
-        self._correction0 = None
+        self._basis0 = None
+        self._factor0 = None
+        self._scaled0 = None
 
     def stats(self) -> dict:
         return {
@@ -126,19 +145,29 @@ class FactorizationCache:
     def _anchor(self, matrix: np.ndarray, weights: np.ndarray, key) -> None:
         """Rebuild the base factorisation from one bin's weight vector.
 
-        The operand order replicates ``_refine_chunk`` exactly: elementwise
-        ``B * w`` then ``(B W) @ Bᵀ`` then ``pinv`` then ``(B W)ᵀ @ G⁺`` —
-        the same left-to-right association as the slow path's per-bin
-        ``weighted[t].T @ gram_pinv[t] @ residual``, which is what makes
-        the equal tier bit-identical.
+        The factor comes from ``_refine_chunk``'s own helpers on a one-bin
+        stack — same row basis, same gram slice, same Cholesky slice — and
+        the equal tier finishes with its per-bin ``_project``, which is
+        what makes that tier bit-identical to the slow path.
         """
-        weighted = matrix[np.newaxis, :, :] * weights[np.newaxis, np.newaxis, :]
-        gram = weighted @ matrix.T
-        gram_pinv = np.linalg.pinv(gram, rcond=1e-10)
+        self._basis0 = _row_basis(matrix)
+        self._factor0 = _cholesky(_weighted_grams(self._basis0.reduced, weights[np.newaxis]))[0]
+        self._scaled0 = None
         self._matrix = matrix
         self._key = key
         self._weights0 = weights.copy()
-        self._correction0 = weighted[0].T @ gram_pinv[0]
+
+    def _scaled_operator(self) -> np.ndarray:
+        """``G₀⁻¹ B_r W₀`` (``r × n_od``), built once per base on first use.
+
+        One multi-right-hand-side solve per base, so each scaled-tier chunk
+        costs two GEMMs rather than a small triangular solve whose BLAS
+        threading overhead dwarfs its arithmetic.
+        """
+        if self._scaled0 is None:
+            solved = _cho_solve(self._factor0, self._basis0.reduced)
+            self._scaled0 = solved * self._weights0
+        return self._scaled0
 
     def refine(
         self,
@@ -157,18 +186,20 @@ class FactorizationCache:
         """
         priors = np.asarray(priors, dtype=float)
         observed = np.asarray(observed, dtype=float)
+        _check_inputs(priors, observed, weight_floor)
         if self._matrix is not None and (self._matrix is not matrix or self._key != key):
             self.invalidate()
 
-        floors = _weight_floors(priors, weight_floor)
-        weights = np.maximum(priors, floors[:, np.newaxis])
+        weights = _weights(priors, weight_floor)
         t = priors.shape[0]
         if self._weights0 is None:
             equal = np.zeros(t, dtype=bool)
             scaled = np.zeros(t, dtype=bool)
         else:
             equal, scaled, _ = classify_scaled_family(weights, self._weights0, rtol=self._rtol)
-        correction0 = self._correction0
+        # Snapshot the base before a miss re-anchors it.
+        basis0, factor0, weights0 = self._basis0, self._factor0, self._weights0
+        scaled0 = self._scaled_operator() if scaled.any() else None
 
         estimates = np.empty_like(priors)
         miss = np.flatnonzero(~(equal | scaled))
@@ -179,18 +210,19 @@ class FactorizationCache:
             # caching from the next bin on.
             estimates[miss] = _refine_chunk(priors[miss], matrix, observed[miss], weight_floor)
             self._anchor(matrix, weights[miss[-1]], key)
-        if correction0 is not None:
+        if factor0 is not None:
             for b in np.flatnonzero(equal):
-                residual = observed[b] - matrix @ priors[b]
-                correction = correction0 @ residual
-                estimates[b] = np.clip(priors[b] + correction, 0.0, None)
+                estimates[b] = np.clip(
+                    _project(basis0, factor0, weights0, priors[b], observed[b]), 0.0, None
+                )
             hit_scaled = np.flatnonzero(scaled)
             if hit_scaled.size:
-                # w_t = s_t w₀ makes G_t = s_t G₀ and pinv(G_t) = G₀⁺ / s_t
-                # (relative rcond), so the scalars cancel inside M and the
-                # base operator serves the whole rescaled family.
-                residuals = observed[hit_scaled] - priors[hit_scaled] @ matrix.T
-                corrections = residuals @ correction0.T
+                # w_t = s_t w₀ makes G_t = s_t G₀ and G_t⁻¹ = G₀⁻¹ / s_t, so
+                # the scalars cancel in W_t B_rᵀ G_t⁻¹ and the base operator
+                # serves the whole rescaled family.
+                residuals = (observed[hit_scaled] @ basis0.basis.T
+                             - priors[hit_scaled] @ basis0.reduced.T)
+                corrections = residuals @ scaled0
                 estimates[hit_scaled] = np.clip(priors[hit_scaled] + corrections, 0.0, None)
 
         chunk = {

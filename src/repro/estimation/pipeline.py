@@ -36,7 +36,7 @@ __all__ = [
 # the sparse stacked operator.  The paper-scale topologies (22/23 PoPs) stay
 # on the historical dense path, whose numbers are locked by the bit-identity
 # hashes; beyond this the dense (n_links + 2n) x n^2 operator and its
-# weighted stacks dominate memory and the sparse path wins.
+# row-basis reduction dominate memory and the sparse path wins.
 SPARSE_SYSTEM_MIN_NODES = 48
 
 
@@ -102,7 +102,7 @@ class TMEstimator:
         topologies).  The entropy method always densifies.
     fast_path:
         Enable the incremental fast path (:mod:`repro.estimation.fastpath`):
-        the tomogravity correction operator is cached per (operator, prior
+        the tomogravity factorisation is cached per (operator, prior
         version) and reused bit-identically for bins whose weights repeat,
         reused within ≤1e-10 for bins that are an exact rescaling of the
         cached base, and recomputed exactly otherwise; the IPF stage gains
@@ -209,7 +209,7 @@ class TMEstimator:
                 prior_vectors, matrix, observed_block, key=prior_version
             )
         elif self._method == "tomogravity":
-            # Sparse operator: the cached dense correction operator does not
+            # Sparse operator: the cached dense factorisation does not
             # replicate the sparse kernel's operation order; keep it exact.
             refined = tomogravity_estimate(prior_vectors, matrix, observed_block)
         else:

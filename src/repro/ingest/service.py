@@ -43,6 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro._blas import limit_blas_threads
 from repro.errors import ValidationError
 from repro.estimation.linear_system import LinkLoadSystem
 from repro.estimation.pipeline import SPARSE_SYSTEM_MIN_NODES, TMEstimator
@@ -216,6 +217,12 @@ class IngestService:
         see the service's series), else a private registry that still
         backs the status snapshot's latency quantiles.
     """
+
+    # The loop's linear algebra is small (one topology's OD pairs per bin):
+    # OpenBLAS's threads cost more in hand-offs than they save, and when the
+    # caller is pinned to the CPU a spinning worker sits on, one hand-off can
+    # stall a call for up to ~100 ms, so chunk latency turns jittery.
+    BLAS_THREADS = 1
 
     def __init__(
         self,
@@ -562,7 +569,15 @@ class IngestService:
             self._record_stage("fit", time.perf_counter() - started)
 
     def run(self) -> ServiceStatus:
-        """Drive the feed to completion (or stop/max-bins) and return status."""
+        """Drive the feed to completion (or stop/max-bins) and return status.
+
+        The loop runs with OpenBLAS capped at ``BLAS_THREADS`` threads (the
+        previous count is restored on return).
+        """
+        with limit_blas_threads(self.BLAS_THREADS):
+            return self._run()
+
+    def _run(self) -> ServiceStatus:
         binner = FlowBinner(
             self._topology.nodes,
             bin_seconds=self._bin_seconds,

@@ -103,7 +103,9 @@ class RoutingMatrix:
             self._dense: np.ndarray | None = None
             shape = self._sparse.shape
         else:
-            self._dense = np.asarray(matrix, dtype=float)
+            # A private copy: the caller's array may still be edited, and the
+            # dense form is handed out read-only to identity-keyed caches.
+            self._dense = np.array(matrix, dtype=float)
             self._sparse = None
             shape = self._dense.shape
         self._csc: sparse.csc_matrix | None = None
@@ -123,13 +125,15 @@ class RoutingMatrix:
 
         Returned read-only: the dense and sparse forms are cached views of
         one logical matrix, so in-place edits would silently desynchronise
-        them.
+        them.  Every call returns the same array, which owns its memory, so
+        identity-keyed caches downstream (the tomogravity row basis, the
+        fast path's factorisation) recognise it and can trust its contents.
         """
         if self._dense is None:
             self._dense = self._sparse.toarray()
-        view = self._dense.view()
-        view.flags.writeable = False
-        return view
+        if self._dense.flags.writeable:  # freshly built or unpickled
+            self._dense.flags.writeable = False
+        return self._dense
 
     @property
     def sparse(self) -> sparse.csr_matrix:
@@ -210,7 +214,8 @@ class RoutingMatrix:
         Section 6.2; the stack only depends on the routing matrix and the
         node count, so it is shared by every measurement system over this
         topology — a sweep's cells and priors all solve against one operator
-        instead of each re-stacking their own.
+        instead of each re-stacking their own.  Both forms are read-only
+        and own their memory (for the sparse one, its data and index arrays).
         """
         cached = self._augmented.get(bool(as_sparse))
         if cached is None:
@@ -219,6 +224,11 @@ class RoutingMatrix:
             h, g, _ = marginal_operators(self.n_nodes, as_sparse=as_sparse)
             if as_sparse:
                 cached = sparse.vstack([self.sparse, h, g], format="csr")
+                for name in ("data", "indices", "indptr"):
+                    # Copied out of the stacking buffers they may view.
+                    array = np.array(getattr(cached, name))
+                    array.flags.writeable = False
+                    setattr(cached, name, array)
             else:
                 cached = np.vstack([self.matrix, h, g])
                 cached.flags.writeable = False

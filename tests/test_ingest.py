@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._blas import blas_thread_counts, limit_blas_threads
 from repro.core.ic_model import simplified_ic_series
 from repro.core.priors import StableFPrior
 from repro.errors import ValidationError
@@ -469,6 +470,44 @@ class TestServiceEquivalence:
         data = open_dataset_stream("geant", n_weeks=1, bins_per_week=6, seed=1)
         with pytest.raises(ValidationError, match="disagree on node ordering"):
             IngestService(SyntheticFlowSource(data.week_stream(0)), abilene)
+
+
+class _ThreadRecordingEstimator(TMEstimator):
+    """Record the OpenBLAS thread counts each chunk is estimated under."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen: list[dict] = []
+
+    def estimate_stream(self, *args, **kwargs):
+        self.seen.append(blas_thread_counts())
+        return super().estimate_stream(*args, **kwargs)
+
+
+class TestServiceBlasThreads:
+    def test_limit_caps_and_restores_every_pool(self):
+        before = blas_thread_counts()
+        with limit_blas_threads(1):
+            assert all(count <= 1 for count in blas_thread_counts().values())
+        assert blas_thread_counts() == before
+
+    def test_run_estimates_single_threaded_then_restores(self, tmp_path):
+        data = open_dataset_stream("geant", n_weeks=1, bins_per_week=8, seed=3, chunk_bins=4)
+        estimator = _ThreadRecordingEstimator()
+        service = IngestService(
+            SyntheticFlowSource(data.week_stream(0)),
+            data.topology,
+            estimator=estimator,
+            bin_seconds=data.week_stream(0).bin_seconds,
+            chunk_bins=4,
+            sink=tmp_path / "estimates.jsonl",
+        )
+        before = blas_thread_counts()
+        assert service.run().bins_published == 8
+        assert len(estimator.seen) == 2
+        assert all(count <= IngestService.BLAS_THREADS
+                   for counts in estimator.seen for count in counts.values())
+        assert blas_thread_counts() == before
 
 
 class _ChurnSource(FlowSource):
