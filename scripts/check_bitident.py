@@ -2,9 +2,13 @@
 
 Used to verify that refactors of the numerical spine leave the fig3-fig13
 experiment outputs bit-identical: run once on the old code, once on the new,
-and diff the printed digests.
+and diff the printed digests.  Each line is ``name arrays-digest
+table-digest``: the first covers the printed table and every numerical
+field, the second the printed table (``format_table()``) alone, so a change
+that moves the arrays in their last bits but leaves the printed figures
+unchanged shows as a changed first digest with an unchanged second.
 
-    PYTHONPATH=src python scripts/check_bitident.py > /tmp/hashes.txt
+    PYTHONPATH=src python scripts/check_bitident.py > hashes.txt
 """
 
 from __future__ import annotations
@@ -46,10 +50,14 @@ def digest_result(result) -> str:
     return hasher.hexdigest()
 
 
+def digest_table(result) -> str:
+    return hashlib.sha256(result.format_table().encode()).hexdigest()
+
+
 def main() -> int:
     for name in EXPERIMENTS_REGISTRY.names():
         result = EXPERIMENTS_REGISTRY.get(name)()
-        print(f"{name} {digest_result(result)}")
+        print(f"{name} {digest_result(result)} {digest_table(result)}")
         sys.stdout.flush()
     return 0
 

@@ -10,7 +10,9 @@ nothing.
 
 The setting is process-wide, like the environment variables it stands in
 for (``OPENBLAS_NUM_THREADS``), which only take effect before the library
-is loaded.
+is loaded.  It changes results as well as speed: OpenBLAS picks a
+different (small-matrix) GEMM kernel when it runs single-threaded, so two
+runs agree bit for bit only at the same thread count.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import contextlib
 import ctypes
 from typing import Iterator
 
-__all__ = ["blas_thread_counts", "limit_blas_threads"]
+__all__ = ["blas_thread_counts", "cap_blas_threads", "limit_blas_threads"]
 
 # (getter, setter) symbol pairs: wheel builds prefix the symbols with
 # ``scipy_`` and the 64-bit-integer builds suffix them with ``64_``.
@@ -60,6 +62,22 @@ def blas_thread_counts() -> dict[str, int]:
     return {path: int(get()) for path, (get, _) in _openblas_pools().items()}
 
 
+def _lower(pools: dict[str, tuple], threads: int) -> dict[str, int]:
+    """Cap ``pools`` at ``threads``; return the previous count of each one lowered."""
+    lowered = {}
+    for path, (get, set_) in pools.items():
+        count = int(get())
+        if count > threads:
+            set_(threads)
+            lowered[path] = count
+    return lowered
+
+
+def cap_blas_threads(threads: int) -> None:
+    """Cap every loaded OpenBLAS pool at ``threads`` for the rest of the process."""
+    _lower(_openblas_pools(), threads)
+
+
 @contextlib.contextmanager
 def limit_blas_threads(threads: int) -> Iterator[None]:
     """Run the block with every loaded OpenBLAS pool capped at ``threads``.
@@ -68,12 +86,9 @@ def limit_blas_threads(threads: int) -> Iterator[None]:
     previous count back on exit.
     """
     pools = _openblas_pools()
-    previous = {path: int(get()) for path, (get, _) in pools.items()}
-    lowered = [path for path, count in previous.items() if count > threads]
-    for path in lowered:
-        pools[path][1](threads)
+    lowered = _lower(pools, threads)
     try:
         yield
     finally:
-        for path in lowered:
-            pools[path][1](previous[path])
+        for path, count in lowered.items():
+            pools[path][1](count)

@@ -9,18 +9,19 @@ exploits that temporal structure without changing any published number
 beyond documented tolerances:
 
 * :class:`FactorizationCache` caches the Cholesky factor ``L₀`` of the
-  reduced weighted gram ``B_r W₀ B_rᵀ`` (``B_r = Q B``, the operator in its
-  row basis; see :mod:`repro.estimation.tomogravity`) keyed by (operator
-  identity, prior version).  Per bin it classifies the weight vector
+  reduced weighted gram ``B_S W₀ B_Sᵀ`` (``B_S``, ``r = rank B``
+  independent rows of the operator; see
+  :mod:`repro.estimation.tomogravity`) keyed by (operator identity, prior
+  version).  Per bin it classifies the weight vector
   against the cached base:
 
   - **equal** (bitwise): the cached factor reproduces the per-bin oracle
     *bit for bit* (same operands, same operation order), so per-bin
-    tomogravity becomes two triangular solves and two mat-vecs instead of
-    forming and factorising an O(n_od r²) gram;
+    tomogravity keeps only its solves and skips forming and factorising
+    the gram;
   - **scaled** (``w_t = s_t · w₀`` within ``rtol``): the weighted gram is
     ``G_t = s_t · G₀``, its inverse rescales by ``1/s_t``, and the scalars
-    cancel in ``W_t B_rᵀ G_t⁻¹ = W₀ B_rᵀ G₀⁻¹`` — one factorisation serves
+    cancel in ``W_t B_Sᵀ G_t⁻¹ = W₀ B_Sᵀ G₀⁻¹`` — one factorisation serves
     every bin of the rescaled family, bit-close (≲1e-12 relative, asserted
     ≤1e-10 in the tests/bench) to the per-bin oracle;
   - **miss**: the bin runs the exact stacked path
@@ -99,20 +100,21 @@ class FactorizationCache:
 
     The cache holds one *base*: the weight vector of the most recent
     structure miss plus the operator's row basis and the Cholesky factor
-    of ``B_r W₀ B_rᵀ`` built from it (and, once the scaled tier is first
-    hit, the explicit operator ``G₀⁻¹ B_r W₀``).  :meth:`refine` classifies
+    of ``B_S W₀ B_Sᵀ`` built from it (and, once the scaled tier is first
+    hit, the explicit operator ``G₀⁻¹ B_S W₀``).  :meth:`refine` classifies
     every bin of a chunk against the base (see module docstring) and
     dispatches each tier accordingly.
     A different operator object or a different ``key`` (the prior version)
     invalidates the whole entry — the atomic-invalidation contract the
     ingest service's prior swaps rely on.  The operator is recognised by
     identity only, so it must not be edited in place between calls; the
-    pipeline passes the frozen ``RoutingMatrix.augmented_operator()``.
+    pipeline passes the frozen ``RoutingMatrix.augmented_operator()``
+    (dense or ``scipy.sparse``; both run the same kernel).
     """
 
     def __init__(self, *, rtol: float = STRUCTURE_RTOL):
         self._rtol = float(rtol)
-        self._matrix: np.ndarray | None = None
+        self._matrix = None
         self._key = None
         self._weights0: np.ndarray | None = None
         self._basis0 = None
@@ -142,37 +144,37 @@ class FactorizationCache:
             "invalidations": self.invalidations,
         }
 
-    def _anchor(self, matrix: np.ndarray, weights: np.ndarray, key) -> None:
+    def _anchor(self, matrix, weights: np.ndarray, key) -> None:
         """Rebuild the base factorisation from one bin's weight vector.
 
         The factor comes from ``_refine_chunk``'s own helpers on a one-bin
         stack — same row basis, same gram slice, same Cholesky slice — and
-        the equal tier finishes with its per-bin ``_project``, which is
-        what makes that tier bit-identical to the slow path.
+        the equal tier finishes with its ``_project``, which is what makes
+        that tier bit-identical to the slow path.
         """
         self._basis0 = _row_basis(matrix)
-        self._factor0 = _cholesky(_weighted_grams(self._basis0.reduced, weights[np.newaxis]))[0]
+        self._factor0 = _cholesky(_weighted_grams(self._basis0, weights[np.newaxis]))[0]
         self._scaled0 = None
         self._matrix = matrix
         self._key = key
         self._weights0 = weights.copy()
 
     def _scaled_operator(self) -> np.ndarray:
-        """``G₀⁻¹ B_r W₀`` (``r × n_od``), built once per base on first use.
+        """``G₀⁻¹ B_S W₀`` (``r × n_od``), built once per base on first use.
 
         One multi-right-hand-side solve per base, so each scaled-tier chunk
         costs two GEMMs rather than a small triangular solve whose BLAS
         threading overhead dwarfs its arithmetic.
         """
         if self._scaled0 is None:
-            solved = _cho_solve(self._factor0, self._basis0.reduced)
+            solved = _cho_solve(self._factor0, self._basis0.reduced.toarray())
             self._scaled0 = solved * self._weights0
         return self._scaled0
 
     def refine(
         self,
         priors: np.ndarray,
-        matrix: np.ndarray,
+        matrix,
         observed: np.ndarray,
         *,
         weight_floor: float | None = None,
@@ -211,17 +213,18 @@ class FactorizationCache:
             estimates[miss] = _refine_chunk(priors[miss], matrix, observed[miss], weight_floor)
             self._anchor(matrix, weights[miss[-1]], key)
         if factor0 is not None:
-            for b in np.flatnonzero(equal):
-                estimates[b] = np.clip(
-                    _project(basis0, factor0, weights0, priors[b], observed[b]), 0.0, None
-                )
+            hit_equal = np.flatnonzero(equal)
+            if hit_equal.size:
+                factors = np.broadcast_to(factor0, (hit_equal.size, *factor0.shape))
+                projected = _project(basis0, factors, weights0, priors[hit_equal], observed[hit_equal])
+                estimates[hit_equal] = np.clip(projected, 0.0, None)
             hit_scaled = np.flatnonzero(scaled)
             if hit_scaled.size:
                 # w_t = s_t w₀ makes G_t = s_t G₀ and G_t⁻¹ = G₀⁻¹ / s_t, so
-                # the scalars cancel in W_t B_rᵀ G_t⁻¹ and the base operator
+                # the scalars cancel in W_t B_Sᵀ G_t⁻¹ and the base operator
                 # serves the whole rescaled family.
-                residuals = (observed[hit_scaled] @ basis0.basis.T
-                             - priors[hit_scaled] @ basis0.reduced.T)
+                residuals = (observed[hit_scaled] @ basis0.projector.T
+                             - (basis0.reduced @ priors[hit_scaled].T).T)
                 corrections = residuals @ scaled0
                 estimates[hit_scaled] = np.clip(priors[hit_scaled] + corrections, 0.0, None)
 

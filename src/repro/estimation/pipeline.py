@@ -35,8 +35,8 @@ __all__ = [
 # Network size at which the auto mode switches the tomogravity refinement to
 # the sparse stacked operator.  The paper-scale topologies (22/23 PoPs) stay
 # on the historical dense path, whose numbers are locked by the bit-identity
-# hashes; beyond this the dense (n_links + 2n) x n^2 operator and its
-# row-basis reduction dominate memory and the sparse path wins.
+# hashes; beyond this the dense (n_links + 2n) x n^2 operator and its SVD
+# dominate memory and the sparse path wins.
 SPARSE_SYSTEM_MIN_NODES = 48
 
 
@@ -108,8 +108,7 @@ class TMEstimator:
         cached base, and recomputed exactly otherwise; the IPF stage gains
         the matching equal/scaled solve memo.  Off by default so batch
         reproduction (fig11–13) stays byte-identical to the historical
-        path.  Dense systems only — sparse tomogravity silently keeps the
-        existing kernel.
+        path.  Dense and sparse operators go through the same cache.
     warm_start:
         Seed each bin's iterative solve (IPF scale state, entropy L-BFGS-B
         start) from the previous bin's solution.  ``None`` (default)
@@ -196,7 +195,6 @@ class TMEstimator:
         egress_block: np.ndarray,
         n: int,
         *,
-        as_sparse: bool,
         prior_version,
     ) -> np.ndarray:
         """One chunk of bins through the cached fast path.
@@ -204,14 +202,10 @@ class TMEstimator:
         Matches the slow path bit-for-bit for equal-weight and recomputed
         bins, and to ≤1e-10 for scaled-tier and warm-started bins.
         """
-        if self._method == "tomogravity" and not as_sparse:
+        if self._method == "tomogravity":
             refined, _ = self._factor_cache.refine(
                 prior_vectors, matrix, observed_block, key=prior_version
             )
-        elif self._method == "tomogravity":
-            # Sparse operator: the cached dense factorisation does not
-            # replicate the sparse kernel's operation order; keep it exact.
-            refined = tomogravity_estimate(prior_vectors, matrix, observed_block)
         else:
             refined = entropy_estimate(
                 prior_vectors,
@@ -291,7 +285,6 @@ class TMEstimator:
                 system.ingress,
                 system.egress,
                 n,
-                as_sparse=self._resolve_sparse(system),
                 prior_version=0,
             )
         else:
@@ -396,7 +389,6 @@ class TMEstimator:
                         system.ingress[t0:stop],
                         system.egress[t0:stop],
                         n,
-                        as_sparse=self._resolve_sparse(system),
                         prior_version=prior_version,
                     )
                 else:

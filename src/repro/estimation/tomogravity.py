@@ -23,24 +23,33 @@ reachable).  The solution is the classic projection
 The augmented operator is rank-deficient (the ingress and egress rows both
 sum to the total, and routing rows repeat), so the gram ``B W B^T`` is
 singular and the pseudo-inverse cannot be replaced by a plain solve.  Instead
-the kernel works in a row basis of ``B``: with ``Q`` (``r × n_obs``, ``r =
-rank B``) an orthonormal basis of ``range(B)``, taken once per operator from
-one SVD of ``B``, the reduced operator ``B_r = Q B`` has full row rank and
-``B = Q^T B_r``.  Substituting,
+the kernel works on ``r = rank B`` of ``B``'s own rows.  Once per operator,
+an orthonormal basis ``Q`` (``r × n_obs``) of ``range(B)`` — from one SVD of
+a dense ``B``, or from ``eigh`` of the sparse-built ``B B^T`` — is
+column-pivoted (``scipy.linalg.qr``) to pick ``r`` linearly independent rows
+``S``.  Every row of ``B`` is a combination of the rows in ``S``, so
+``B x = \\Pi_B z`` holds exactly when ``B_S x = (\\Pi_B z)_S``, and
 
 .. math::
 
-    (B W B^T)^+ = Q^T (B_r W B_r^T)^{-1} Q,
+    x = x_{prior} + W B_S^T (B_S W B_S^T)^{-1}
+        \\left( (\\Pi_B z)_S - B_S x_{prior} \\right),
     \\qquad
-    x = x_{prior} + W B_r^T (B_r W B_r^T)^{-1} (Q z - B_r x_{prior})
+    (\\Pi_B z)_S = Q_S^T Q z
 
-Every weight is at least the floor ``ε > 0``, so the ``r × r`` gram
-``B_r W B_r^T`` is symmetric positive definite and each bin costs one
-Cholesky factorisation and two triangular solves.  ``Q z`` is exactly the
-projection ``Π_B z`` in basis coordinates, so inconsistent observations
-get the same minimum-norm treatment as under the pseudo-inverse.  The
-result is clipped to non-negative values (the subsequent IPF step restores
-consistency with the marginals).
+with ``Q_S`` the ``S`` columns of ``Q``.  ``B_S`` keeps the 0/1/ECMP
+entries of the routing and marginal rows, so it is stored sparse, and the
+weighted gram is linear in the weights: its upper triangle is
+``P w`` for the column-wise Khatri–Rao *pair map* ``P`` with entries
+``B_S[a,k] B_S[b,k]`` (``a ≤ b``).  A chunk of ``T`` bins forms all its grams
+in one sparse product ``P W^T`` whose cost follows the sparsity of ``B``
+(~5k multiply-adds per Geant bin against ~2.1M for the dense rotated
+operator), and dense and ``scipy.sparse`` operators run the same code:
+nothing of size ``n_obs × n_od`` is densified.  Every weight is at least the
+floor ``ε > 0``, so each ``r × r`` gram is symmetric positive definite and a
+bin costs one in-place Cholesky factorisation (LAPACK ``dpotrf``) and two
+pairs of triangular solves (the solve and one refinement step).  The result is clipped to non-negative values (the
+subsequent IPF step restores consistency with the marginals).
 """
 
 from __future__ import annotations
@@ -49,7 +58,9 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg import qr
+from scipy.linalg.blas import dtrsv
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from repro.errors import EstimationError, ShapeError, ValidationError
 from repro.obs import get_tracer
@@ -75,12 +86,13 @@ def tomogravity_estimate(
     observation_matrix:
         The matrix ``B`` of shape ``(n_obs, n_od)`` (routing matrix, possibly
         augmented with ingress/egress rows).  Either a dense array or a
-        ``scipy.sparse`` matrix; the sparse form is never densified, which is
-        what makes the refinement viable at large ``n`` (its floating-point
-        summation order differs slightly from the dense path's).  The row
-        basis of a frozen operator (read-only arrays owning their memory,
-        such as ``RoutingMatrix.matrix`` and ``augmented_operator()``) is
-        computed once and reused across calls.
+        ``scipy.sparse`` matrix; both run the same kernel and neither is
+        densified.  Only the basis of ``range(B)`` is computed differently
+        (SVD of ``B``, or ``eigh`` of ``B Bᵀ``, accurate to ~``eps · κ(B)²``),
+        so the two forms agree to that accuracy.  The row basis of a frozen operator
+        (read-only arrays owning their memory, such as
+        ``RoutingMatrix.matrix`` and ``augmented_operator()``) is computed
+        once and reused across calls.
     observations:
         Observed values ``z``, shape ``(n_obs,)`` or ``(T, n_obs)`` matching
         the prior batch.
@@ -122,10 +134,9 @@ def tomogravity_estimate(
         )
     _check_inputs(prior_batch, obs_batch, weight_floor)
 
-    refine = _refine_chunk_sparse if is_sparse else _refine_chunk
     estimates = np.empty_like(prior_batch)
     for start, stop in _chunks(prior_batch.shape[0], matrix.shape[0]):
-        estimates[start:stop] = refine(
+        estimates[start:stop] = _refine_chunk(
             prior_batch[start:stop], matrix, obs_batch[start:stop], weight_floor
         )
     return estimates[0] if single else estimates
@@ -159,10 +170,12 @@ def _chunks(n_bins: int, n_obs: int):
 
 
 class RowBasis(NamedTuple):
-    """An orthonormal basis of an operator's range, in row form."""
+    """``r = rank B`` independent rows of an operator and the maps the kernel needs."""
 
-    basis: np.ndarray  # Q, (r, n_obs): orthonormal rows spanning range(B)
-    reduced: np.ndarray | None  # B_r = Q B, (r, n_od); dense operators only
+    rows: np.ndarray  # S, (r,): indices of linearly independent rows of B
+    projector: np.ndarray  # Q_Sᵀ Q, (r, n_obs): maps z to the S rows of Π_B z
+    reduced: sparse.csr_matrix  # B_S = B[S], (r, n_od)
+    pairs: sparse.csr_matrix  # (r(r+1)/2, n_od): B_S[a,k]·B_S[b,k] for a ≤ b
 
 
 # Row bases memoised by operator identity.  Only frozen operators are
@@ -180,9 +193,15 @@ def _row_basis(matrix) -> RowBasis:
         if entry is not None:
             return entry[1]
     try:
-        row_basis = _sparse_row_basis(matrix) if sparse.issparse(matrix) else _dense_row_basis(matrix)
+        basis = _sparse_range_basis(matrix) if sparse.issparse(matrix) else _dense_range_basis(matrix)
     except np.linalg.LinAlgError as exc:
         raise EstimationError("failed to compute a row basis of the observation matrix") from exc
+    rows = _independent_rows(basis)
+    reduced = sparse.csr_matrix(matrix[rows])
+    # Q_Sᵀ Q through einsum's own loops: OpenBLAS's GEMM result depends on
+    # its thread count, and the basis must not.
+    projector = np.einsum("ai,aj->ij", basis[:, rows], basis)
+    row_basis = RowBasis(rows, projector, reduced, _pair_map(reduced))
     if frozen:
         if len(_BASIS_CACHE) >= _BASIS_CACHE_MAX:
             _BASIS_CACHE.pop(next(iter(_BASIS_CACHE)))
@@ -214,96 +233,168 @@ def _significant(values: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return values > values.max() * max(shape) * np.finfo(float).eps
 
 
-def _dense_row_basis(matrix: np.ndarray) -> RowBasis:
+def _dense_range_basis(matrix: np.ndarray) -> np.ndarray:
+    """``Q`` (``r × n_obs``): orthonormal rows spanning ``range(B)``, from one SVD."""
     u, singular, _ = np.linalg.svd(matrix, full_matrices=False)
-    basis = np.ascontiguousarray(u[:, _significant(singular, matrix.shape)].T)
-    return RowBasis(basis, basis @ matrix)
+    return np.ascontiguousarray(u[:, _significant(singular, matrix.shape)].T)
 
 
-def _sparse_row_basis(matrix) -> RowBasis:
-    """Row basis from the eigenvectors of the sparse-built ``B Bᵀ`` (``B`` stays sparse).
+def _sparse_range_basis(matrix) -> np.ndarray:
+    """``Q`` from the eigenvectors of the sparse-built ``B Bᵀ`` (``B`` stays sparse).
 
     The rank test applies ``matrix_rank``'s tolerance to the eigenvalues
     ``σ²`` themselves: they carry absolute error ~``eps · σ_max²``, so a
     squared singular-value threshold would sit below their rounding noise.
     """
     eigenvalues, vectors = np.linalg.eigh((matrix @ matrix.T).toarray())
-    basis = np.ascontiguousarray(vectors[:, _significant(eigenvalues, matrix.shape)].T)
-    return RowBasis(basis, None)
+    return np.ascontiguousarray(vectors[:, _significant(eigenvalues, matrix.shape)].T)
+
+
+def _independent_rows(basis: np.ndarray) -> np.ndarray:
+    """Sorted indices ``S`` of ``r`` rows of ``B`` whose columns ``Q_S`` are independent.
+
+    Column pivoting picks the best-conditioned columns of ``Q`` first, so
+    ``B_S = Q_Sᵀ (Q B)`` has full row rank.
+    """
+    rank = basis.shape[0]
+    if not rank:
+        return np.zeros(0, dtype=np.intp)
+    _, pivots = qr(basis, mode="r", pivoting=True)
+    return np.sort(pivots[:rank])
+
+
+def _pair_starts(rank: int) -> np.ndarray:
+    """Offset of gram row ``a``'s pairs ``(a, a), (a, a+1), …`` in the pair map."""
+    rows = np.arange(rank + 1)
+    return rows * rank - rows * (rows - 1) // 2
+
+
+def _pair_map(reduced: sparse.csr_matrix) -> sparse.csr_matrix:
+    """The column-wise Khatri–Rao map ``w ↦`` upper triangle of ``B_S W B_Sᵀ``.
+
+    Pair ``(a, b)``, ``a ≤ b``, is row ``_pair_starts(r)[a] + b - a`` and
+    holds ``B_S[a,k] · B_S[b,k]`` in column ``k``: one entry per pair of
+    non-zeros sharing a column of ``B_S``.  Columns with the same number of
+    non-zeros are expanded together.
+    """
+    rank, n_od = reduced.shape
+    columns = reduced.tocsc()
+    columns.sort_indices()
+    counts = np.diff(columns.indptr)
+    starts = _pair_starts(rank)
+    pair_rows, pair_cols, values = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
+    for count in np.unique(counts[counts > 0]):
+        cols = np.flatnonzero(counts == count)
+        entries = columns.indptr[cols, np.newaxis] + np.arange(count)
+        first, second = np.triu_indices(count)
+        a = columns.indices[entries[:, first]]
+        b = columns.indices[entries[:, second]]
+        pair_rows.append((starts[a] + b - a).ravel())
+        pair_cols.append(np.repeat(cols, first.size))
+        values.append((columns.data[entries[:, first]] * columns.data[entries[:, second]]).ravel())
+    return sparse.csr_matrix(
+        (np.concatenate(values), (np.concatenate(pair_rows), np.concatenate(pair_cols))),
+        shape=(int(starts[rank]), n_od),
+    )
+
+
+def _weighted_grams(row_basis: RowBasis, weights: np.ndarray) -> np.ndarray:
+    """``B_S W_t B_Sᵀ`` for every row of ``weights``, one slice per bin.
+
+    One sparse product ``pairs @ Wᵀ`` gives every bin's upper triangle as
+    a column.  It is copied into the stack one gram row at a time (each
+    block a cache-sized ``(r - a) × T`` slab), which lays it out per bin
+    without transposing the whole product.  Only the upper triangle of each
+    C-ordered slice is written: read in Fortran order it is the lower
+    triangle :func:`_cholesky` factorises in place; the other is unset.
+    """
+    rank = row_basis.reduced.shape[0]
+    by_pair = row_basis.pairs @ np.ascontiguousarray(weights.T)
+    grams = np.empty((weights.shape[0], rank, rank))
+    starts = _pair_starts(rank)
+    for a in range(rank):
+        grams[:, a, a:] = by_pair[starts[a]:starts[a + 1]].T
+    return grams
 
 
 def _cholesky(grams: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factors of a ``(T, r, r)`` stack of SPD grams, one slice per bin."""
-    try:
-        return np.linalg.cholesky(grams)
-    except np.linalg.LinAlgError as exc:
-        raise EstimationError("failed to factorise the weighted normal matrix") from exc
+    """Factorise a stack from :func:`_weighted_grams` in place, one ``dpotrf`` per bin.
 
-
-def _weighted_grams(reduced: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``B_r W_t B_r^T`` for every row of ``weights``, one slice per bin.
-
-    Formed as ``(B_r W^{1/2})(B_r W^{1/2})^T``: exactly symmetric, and the
-    self-product runs as a rank-k update at half the cost of a general
-    matrix product.
+    Each slice's Fortran lower triangle becomes ``L`` with ``gram = L Lᵀ``;
+    returns ``grams``, now holding the factors.
     """
-    roots = np.sqrt(weights)
-    grams = np.empty((weights.shape[0], reduced.shape[0], reduced.shape[0]))
-    for t in range(weights.shape[0]):
-        scaled = reduced * roots[t]
-        grams[t] = scaled @ scaled.T
+    for gram in grams:
+        _, info = dpotrf(gram.T, lower=1, clean=0, overwrite_a=1)
+        if info:
+            raise EstimationError("failed to factorise the weighted normal matrix")
     return grams
 
 
 def _cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``L Lᵀ x = rhs`` given the C-ordered lower factor ``L``.
+    """Solve ``gram · x = rhs`` given one slice of :func:`_cholesky`'s output.
 
-    ``Lᵀ`` is the Fortran-ordered upper factor, so LAPACK reads it without
-    the copy ``scipy.linalg.cho_solve`` would make of a C-ordered ``L``.
+    A vector right-hand side takes two BLAS-2 triangular solves, which skip
+    the packing LAPACK's ``dpotrs`` does for a matrix of right-hand sides.
     """
     if not factor.shape[0]:  # rank-0 operator: nothing to correct
         return np.zeros_like(rhs)
-    solution, _ = dpotrs(factor.T, rhs, lower=0)
+    if rhs.ndim == 1:
+        forward = dtrsv(factor.T, rhs, lower=1)
+        return dtrsv(factor.T, forward, lower=1, trans=1, overwrite_x=1)
+    solution, _ = dpotrs(factor.T, rhs, lower=1)
     return solution
 
 
 def _project(
     row_basis: RowBasis,
-    factor: np.ndarray,
+    factors: np.ndarray,
     weights: np.ndarray,
-    prior: np.ndarray,
+    priors: np.ndarray,
     observed: np.ndarray,
 ) -> np.ndarray:
-    """One bin's projection ``p + W B_r^T (B_r W B_r^T)^{-1} (Q z - B_r p)``, unclipped."""
-    residual = row_basis.basis @ observed - row_basis.reduced @ prior
-    return prior + weights * (row_basis.reduced.T @ _cho_solve(factor, residual))
+    """Each bin's ``p + W B_Sᵀ (B_S W B_Sᵀ)⁻¹ ((Π_B z)_S - B_S p)``, unclipped.
+
+    The normal equations of ``B_S`` lose digits when the weights span
+    orders of magnitude (~1e-11 relative on small operators with zero
+    priors), so the solution is refined once: the constraint residual
+    ``(Π_B z)_S - B_S x`` of the first solution is solved again with the
+    same factors, which recovers ~1e-14.  The sparse products run over the
+    whole ``(T, n_od)`` batch and sum each entry in the same order whatever
+    ``T`` is, and the dense projection and solves run per bin, so a bin's
+    result does not depend on the batch it is in.
+    """
+    reduced = row_basis.reduced
+    targets = np.empty((priors.shape[0], reduced.shape[0]))
+    for t in range(priors.shape[0]):
+        targets[t] = row_basis.projector @ observed[t]
+    estimates = priors
+    for _ in range(2):  # the solve, then one step of iterative refinement
+        steps = targets - (reduced @ estimates.T).T
+        for t in range(priors.shape[0]):
+            steps[t] = _cho_solve(factors[t], steps[t])
+        estimates = estimates + weights * (reduced.T @ steps.T).T
+    return estimates
 
 
-def _refine_chunk(
-    priors: np.ndarray, matrix: np.ndarray, observed: np.ndarray, weight_floor: float | None
-) -> np.ndarray:
-    """Refine a ``(T, n_od)`` chunk of priors against a dense operator.
+def _refine_chunk(priors: np.ndarray, matrix, observed: np.ndarray, weight_floor: float | None) -> np.ndarray:
+    """Refine a ``(T, n_od)`` chunk of priors against a dense or sparse operator.
 
-    The grams and their factorisations are stacked over the chunk but every
-    slice, residual and correction is computed per bin, so a bin's result
-    does not depend on which chunk it lands in: the batch equals the
-    per-bin loop bit for bit.
+    Every gram, factorisation, residual and correction of a bin is
+    computed from that bin alone, so the batch equals the per-bin loop bit
+    for bit, whatever the chunking.
     """
     weights = _weights(priors, weight_floor)
     row_basis = _row_basis(matrix)
     tracer = get_tracer()
-    with tracer.span("refine.gram", bins=priors.shape[0], rank=row_basis.basis.shape[0]):
-        grams = _weighted_grams(row_basis.reduced, weights)
+    with tracer.span("refine.gram", bins=priors.shape[0], rank=row_basis.reduced.shape[0]):
+        grams = _weighted_grams(row_basis, weights)
     with tracer.span("refine.solve", bins=priors.shape[0]):
-        factors = _cholesky(grams)
-        estimates = np.empty_like(priors)
-        for t in range(priors.shape[0]):
-            estimates[t] = _project(row_basis, factors[t], weights[t], priors[t], observed[t])
+        estimates = _project(row_basis, _cholesky(grams), weights, priors, observed)
     return np.clip(estimates, 0.0, None, out=estimates)
 
 
 def _weight_floors(priors: np.ndarray, weight_floor: float | None) -> np.ndarray:
-    """Per-bin weight floors (shared by the dense and sparse refinements)."""
+    """Per-bin weight floors."""
     if weight_floor is not None:
         return np.full(priors.shape[0], float(weight_floor))
     means = priors.mean(axis=1) if priors.shape[1] else np.zeros(priors.shape[0])
@@ -313,35 +404,3 @@ def _weight_floors(priors: np.ndarray, weight_floor: float | None) -> np.ndarray
 def _weights(priors: np.ndarray, weight_floor: float | None) -> np.ndarray:
     """Per-bin weight vectors ``max(prior, floor)``."""
     return np.maximum(priors, _weight_floors(priors, weight_floor)[:, np.newaxis])
-
-
-def _refine_chunk_sparse(
-    priors: np.ndarray, matrix, observed: np.ndarray, weight_floor: float | None
-) -> np.ndarray:
-    """Refine a ``(T, n_od)`` chunk against a ``scipy.sparse`` operator.
-
-    The same projection as :func:`_refine_chunk` without ever forming
-    ``B_r``: each bin builds ``B W^{1/2}`` by scaling the CSR data (columns
-    of ``B`` scaled by that bin's root weights), so only the ``O(nnz)``
-    sparse structure, the ``(n_obs, n_obs)`` gram ``B W B^T`` and its
-    ``(r, r)`` reduction ``Q (B W B^T) Q^T`` ever exist.
-    """
-    weights = _weights(priors, weight_floor)
-    basis = _row_basis(matrix).basis
-    roots = np.sqrt(weights)
-    scaled = matrix.copy()
-    tracer = get_tracer()
-    with tracer.span("refine.gram", bins=priors.shape[0], rank=basis.shape[0]):
-        grams = np.empty((priors.shape[0], basis.shape[0], basis.shape[0]))
-        for t in range(priors.shape[0]):
-            scaled.data = matrix.data * roots[t][matrix.indices]  # B W^{1/2} for this bin
-            grams[t] = basis @ (scaled @ scaled.T).toarray() @ basis.T
-    with tracer.span("refine.solve", bins=priors.shape[0]):
-        factors = _cholesky(grams)
-        estimates = np.empty_like(priors)
-        for t in range(priors.shape[0]):
-            residual = basis @ (observed[t] - matrix @ priors[t])
-            step = _cho_solve(factors[t], residual)
-            correction = weights[t] * (matrix.T @ (basis.T @ step))
-            estimates[t] = np.clip(priors[t] + correction, 0.0, None)
-    return estimates

@@ -14,7 +14,11 @@ standard watermark semantics of streaming systems:
   bins emitted as zero matrices so the published series never has gaps;
 * records targeting an already-closed bin are *dropped and counted*
   (``records_dropped_late``) — a late record must never mutate a published
-  matrix.
+  matrix;
+* a batch with a record more than :attr:`FlowBinner.MAX_FUTURE_BINS` bins
+  past both the frontier and the highest bin seen is rejected whole: one
+  clock-skewed (or wrong-origin) record would otherwise emit every bin up
+  to it as a zero matrix.
 
 Each batch is reduced with one vectorised ``bincount`` scatter per open bin
 it touches, which is what sustains >100k records/sec in pure numpy (see
@@ -62,6 +66,10 @@ class FlowBinner:
         First bin index to emit — everything earlier is treated as already
         published (the resume path) and counted in ``records_skipped``.
     """
+
+    # How far past max(frontier, highest bin seen) a record may lie: one
+    # week of 5-minute bins, far beyond any watermark or feed outage.
+    MAX_FUTURE_BINS = 2016
 
     def __init__(
         self,
@@ -157,6 +165,13 @@ class FlowBinner:
             )
         if int(batch.src.max()) >= self._n or int(batch.dst.max()) >= self._n:
             raise ValidationError(f"record node index out of range for {self._n} nodes")
+        horizon = max(self._frontier, self._max_bin_seen) + self.MAX_FUTURE_BINS
+        if int(bins.max()) > horizon:
+            raise ValidationError(
+                f"record timestamps lie more than {self.MAX_FUTURE_BINS} bins past the "
+                f"stream (latest record bin={int(bins.max())}, limit={horizon}); "
+                f"check the clock and the stream origin (origin={self._origin})"
+            )
         self.records_seen += k
         skipped = bins < self._start_bin
         late = (bins < self._frontier) & ~skipped

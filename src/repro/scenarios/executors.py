@@ -652,6 +652,8 @@ class SpawnedWorkers:
     """
 
     def __init__(self, count: int, *, startup_timeout: float = 30.0):
+        from repro.scenarios.runner import SCENARIO_BLAS_THREADS
+
         if count < 1:
             raise ValidationError("spawn:N needs N >= 1 workers")
         self._startup_timeout = float(startup_timeout)
@@ -665,6 +667,8 @@ class SpawnedWorkers:
         env["PYTHONPATH"] = (
             package_root if not existing else package_root + os.pathsep + existing
         )
+        # Loaded BLAS libraries read their thread count once, at start-up.
+        env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = str(SCENARIO_BLAS_THREADS)
         try:
             for _ in range(int(count)):
                 process = subprocess.Popen(

@@ -41,6 +41,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro._blas import cap_blas_threads, limit_blas_threads
 from repro._tables import format_rows
 from repro.core.metrics import percent_improvement, summarize_improvement
 from repro.core.priors import (
@@ -77,6 +78,14 @@ __all__ = [
     "sweep",
     "FIT_CACHE_BYTES",
 ]
+
+# OpenBLAS threads a scenario runs with, in this process, in pool workers
+# and in spawned ``sweep-worker`` daemons alike.  OpenBLAS results depend on
+# its thread count, so one count for every executor is what keeps a sweep's
+# results independent of where its cells ran; one thread also keeps
+# parallel workers from oversubscribing the cores, and the matrices are too
+# small to gain from more.
+SCENARIO_BLAS_THREADS = 1
 
 # Default replay-cache budget for multi-pass streaming fits (the stable-fP
 # ALS makes 2 passes per iteration): chunks of the calibration series are
@@ -365,14 +374,16 @@ class ScenarioRunner:
                     "streaming scenarios regenerate chunks; pass dataset=None "
                     "or a pre-opened StreamingDataset"
                 )
-            result = self._run_streaming(scenario, data=dataset, shared=shared)
+            run, kwargs = self._run_streaming, {"data": dataset}
         else:
             if dataset is not None and not hasattr(dataset, "weeks"):
                 raise ValidationError(
                     "in-memory scenarios need a materialised SyntheticDataset; "
                     "got a streaming dataset (set stream=True to use it)"
                 )
-            result = self._run_in_memory(scenario, dataset=dataset, shared=shared)
+            run, kwargs = self._run_in_memory, {"dataset": dataset}
+        with limit_blas_threads(SCENARIO_BLAS_THREADS):
+            result = run(scenario, shared=shared, **kwargs)
         metrics = get_metrics()
         if metrics.enabled:
             mode = "stream" if scenario.stream else "memory"
@@ -1116,7 +1127,7 @@ class ScenarioRunner:
             with ProcessPoolExecutor(
                 max_workers=min(jobs, len(batches)),
                 initializer=_init_sweep_worker,
-                initargs=(pickled, shm_payload),
+                initargs=(pickled, shm_payload, SCENARIO_BLAS_THREADS),
             ) as pool:
                 futures = [pool.submit(_run_sweep_batch, payload) for payload in payloads]
                 for future in as_completed(futures):
@@ -1264,8 +1275,12 @@ _WORKER_SHM_BLOCKS: list = []
 _WORKER_SHARED = SweepSharedState()
 
 
-def _init_sweep_worker(datasets: dict[tuple, object], shm_payload=None) -> None:
+def _init_sweep_worker(datasets: dict[tuple, object], shm_payload=None, blas_threads=None) -> None:
     global _WORKER_SHARED
+    if blas_threads is not None:
+        # Each pool worker runs one cell at a time beside its siblings, so
+        # a multi-threaded BLAS would only oversubscribe the cores.
+        cap_blas_threads(blas_threads)
     _WORKER_DATASETS.clear()
     _WORKER_DATASETS.update(datasets)
     _WORKER_SHARED = SweepSharedState()

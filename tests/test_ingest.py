@@ -269,13 +269,33 @@ class TestFlowBinner:
         assert [index for index, _ in published + flushed] == [0, 1]
         assert flushed[0][1].sum() == 3.0
 
+    def test_far_future_record_rejected_with_counters_unchanged(self):
+        binner = FlowBinner(self.NODES, bin_seconds=10.0, watermark_bins=0)
+        binner.push(self._batch([(5.0, 0, 1, 2.0), (15.0, 1, 2, 3.0)]))
+        before = binner.counters()
+        limit = max(binner.frontier, before["max_bin_seen"]) + FlowBinner.MAX_FUTURE_BINS
+        with pytest.raises(ValidationError, match="bins past the stream"):
+            binner.push(self._batch([(22.0, 2, 0, 4.0), ((limit + 1) * 10.0 + 5.0, 0, 1, 1.0)]))
+        assert binner.counters() == before
+        closed = binner.push(self._batch([(limit * 10.0 + 5.0, 0, 1, 1.0)]))
+        assert [index for index, _ in closed] == list(range(before["frontier"], limit))
+        assert binner.open_bins == 1
+
+    def test_epoch_timestamps_against_zero_origin_rejected(self):
+        binner = FlowBinner(self.NODES, bin_seconds=300.0)
+        with pytest.raises(ValidationError, match=r"origin=0\.0"):
+            binner.push(self._batch([(1_700_000_000.0, 0, 1, 1.0)]))
+        assert binner.counters()["records_seen"] == 0
+        aligned = FlowBinner(self.NODES, bin_seconds=300.0, origin=1_699_999_800.0)
+        assert aligned.push(self._batch([(1_700_000_000.0, 0, 1, 1.0)])) == []
+        assert aligned.open_bins == 1
+
 
 _NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
 
-# Timestamps stay within ~50 bins of the origin: a finite record far in the
-# future makes one push emit every bin up to it (bounded future skew is a
-# separate, not yet built guard), which is a resource limit, not the value
-# validation exercised here.  Finite volumes stay at realistic byte counts.
+# Timestamps stay within ~50 bins of the origin (far-future records are the
+# separate bounded-skew property below).  Finite volumes stay at realistic
+# byte counts.
 _records = st.tuples(
     st.one_of(st.floats(min_value=-50.0, max_value=500.0), _NON_FINITE),
     st.integers(min_value=-2, max_value=4),
@@ -303,6 +323,25 @@ def test_binner_rejects_or_bins_finite(batches):
     for _, matrix in emitted:
         assert matrix.shape == (3, 3)
         assert np.all(np.isfinite(matrix)) and np.all(matrix >= 0)
+
+
+@given(st.lists(st.lists(st.floats(min_value=0.0, max_value=1e12), min_size=1, max_size=4),
+                min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_binner_bounds_future_skew(batches):
+    """No push emits more than MAX_FUTURE_BINS bins, whatever the timestamps."""
+    binner = FlowBinner(("a", "b"), bin_seconds=10.0, watermark_bins=1)
+    emitted = []
+    for times in batches:
+        before = binner.counters()
+        try:
+            closed = binner.push(RecordBatch(times, [0] * len(times), [1] * len(times), [1.0] * len(times)))
+        except ValidationError:
+            assert binner.counters() == before
+            continue
+        assert len(closed) <= FlowBinner.MAX_FUTURE_BINS
+        emitted += closed
+    assert [index for index, _ in emitted] == list(range(len(emitted)))
     counters = binner.counters()
     assert counters["records_seen"] == (
         counters["records_binned"] + counters["records_dropped_late"] + counters["records_skipped"]

@@ -226,3 +226,43 @@ class TestSharedMemoryShipping:
         assert not parallel.failures
         for serial_cell, parallel_cell in zip(serial.results, parallel.results):
             assert np.array_equal(serial_cell.errors, parallel_cell.errors)
+
+
+class TestWorkerBlasThreads:
+    def test_sweep_pool_workers_run_single_threaded_blas(self, monkeypatch):
+        import repro.scenarios.runner as runner_module
+        from repro._blas import blas_thread_counts
+
+        if not blas_thread_counts():
+            pytest.skip("no OpenBLAS pool visible in this process")
+        seen = []
+
+        class ProbedPool(runner_module.ProcessPoolExecutor):
+            def __enter__(self):
+                pool = super().__enter__()
+                seen.append(pool.submit(blas_thread_counts).result())
+                return pool
+
+        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", ProbedPool)
+        result = ScenarioRunner().sweep(
+            priors=("stable_f", "gravity"), datasets=("geant",), base=dict(SMALL), jobs=2
+        )
+        assert len(result.results) == 2
+        [counts] = seen
+        assert counts and all(count <= 1 for count in counts.values())
+
+    def test_spawned_workers_start_with_single_threaded_blas(self, monkeypatch):
+        import repro.scenarios.executors as executors
+        from repro.scenarios import SpawnedWorkers
+
+        launched = []
+
+        def no_launch(command, **kwargs):
+            launched.append(kwargs["env"])
+            raise OSError("not launched")
+
+        monkeypatch.setattr(executors.subprocess, "Popen", no_launch)
+        with pytest.raises(OSError):
+            SpawnedWorkers(1)
+        [env] = launched
+        assert env["OPENBLAS_NUM_THREADS"] == env["OMP_NUM_THREADS"] == "1"
